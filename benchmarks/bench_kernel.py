@@ -1,21 +1,16 @@
 """E-KERNEL — simulation-kernel throughput, proven against the old shape.
 
-Three measurements, all wall-clock (this file is the sanctioned exception
-to the no-wall-clock rule — measuring the simulator itself is its job):
+One measurement, wall-clock (this file is the sanctioned exception to the
+no-wall-clock rule — measuring the simulator itself is its job):
 
-* **paper tick** — the headline: one simulated fleet tick (every sensor
-  delivers a reading) at N sensors, run both ways. *Legacy* reproduces the
-  pre-refactor hot path: the reference heap scheduler, one recurring timer
-  event per sensor, scalar field sampling with no knot reuse (each read
-  builds its noise RNGs from scratch, as ``_knot`` used to). *New* is the
-  shipped path: calendar-queue scheduler, one batched timer per tick,
-  vectorized :meth:`sample_many` with cached knots. The acceptance gate is
-  ``new.reads_per_sec >= 5 x legacy.reads_per_sec`` at N=4096.
-* **scheduler micro** — raw kernel events/sec for heap vs calendar on an
-  identical mixed timer program (no sensor work), isolating the scheduler.
-* **burst micro** — M same-instant timeouts per round: the tie-cell case a
-  CSP fan-out hits, where the calendar appends to one FIFO cell while the
-  heap pays O(log n) per event.
+* **paper tick** — one simulated fleet tick (every sensor delivers a
+  reading) at N sensors, run both ways on the same kernel, so the ratio
+  measures the change of *shape* alone. *Legacy* reproduces the
+  pre-refactor hot path: one recurring timer event per sensor, scalar
+  field sampling with no knot reuse (each read builds its noise RNGs from
+  scratch, as ``_knot`` used to). *New* is the shipped path: one batched
+  timer per tick, vectorized :meth:`sample_many` with cached knots. The
+  acceptance gate is ``new.reads_per_sec >= 5 x legacy.reads_per_sec``.
 
 Results land in ``BENCH_KERNEL.json`` (plus a table under
 ``benchmarks/results/``). CI runs ``--smoke`` and compares the paper-tick
@@ -35,8 +30,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.metrics import render_table  # noqa: E402
@@ -49,10 +42,6 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 #: The acceptance-criteria size (full mode); smoke keeps CI fast.
 N_SENSORS = 512 if SMOKE else 4096
 TICKS = 20 if SMOKE else 50
-MICRO_TIMERS = 200
-MICRO_DURATION = 60.0 if SMOKE else 240.0
-BURST_SIZE = 512 if SMOKE else 4096
-BURST_ROUNDS = 10
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 BASELINE_PATH = RESULTS_DIR / "bench_kernel_baseline.json"
@@ -72,14 +61,14 @@ def _timed_run(env: Environment, until: float) -> dict:
     t0 = time.perf_counter()
     env.run(until=until)
     wall = max(time.perf_counter() - t0, 1e-9)
-    events = next(env._seq)  # total occurrences scheduled so far
+    events = env.scheduler_stats()["pushes"]  # occurrences scheduled so far
     return {"wall_s": round(wall, 6), "events": events,
             "events_per_sec": round(events / wall, 1)}
 
 
 def paper_tick(mode: str, n: int, ticks: int) -> dict:
     """One fleet reading per sensor per simulated second, measured end to end."""
-    env = Environment(scheduler="heap" if mode == "legacy" else "calendar")
+    env = Environment()
     world = PhysicalEnvironment(seed=5, vectorize=(mode == "new"))
     locations = grid_locations(n)
     reads = [0]
@@ -117,33 +106,6 @@ def paper_tick(mode: str, n: int, ticks: int) -> dict:
     return stats
 
 
-def scheduler_micro(kind: str) -> dict:
-    """Mixed recurring-timer program: the scheduler, nothing else."""
-    env = Environment(scheduler=kind)
-    rng = np.random.default_rng(42)
-    periods = 0.05 + rng.random(MICRO_TIMERS) * 2.0
-
-    def ticker(period):
-        while True:
-            yield env.timeout(period)
-
-    for period in periods:
-        env.process(ticker(float(period)))
-    return _timed_run(env, until=MICRO_DURATION)
-
-
-def burst_micro(kind: str) -> dict:
-    """M timeouts landing on one (time, priority) instant, repeatedly."""
-    env = Environment(scheduler=kind)
-
-    def proc():
-        for _ in range(BURST_ROUNDS):
-            yield env.all_of([env.timeout(1.0) for _ in range(BURST_SIZE)])
-
-    env.process(proc())
-    return _timed_run(env, until=float(BURST_ROUNDS + 1))
-
-
 def _best_paper_tick(mode: str) -> dict:
     runs = [paper_tick(mode, N_SENSORS, TICKS) for _ in range(REPS)]
     return max(runs, key=lambda stats: stats["reads_per_sec"])
@@ -153,22 +115,12 @@ def collect() -> dict:
     legacy = _best_paper_tick("legacy")
     new = _best_paper_tick("new")
     speedup = new["reads_per_sec"] / legacy["reads_per_sec"]
-    micro = {kind: scheduler_micro(kind) for kind in ("heap", "calendar")}
-    burst = {kind: burst_micro(kind) for kind in ("heap", "calendar")}
     return {
         "smoke": SMOKE,
         "n_sensors": N_SENSORS,
         "ticks": TICKS,
         "paper_tick": {"legacy": legacy, "new": new,
                        "speedup": round(speedup, 2)},
-        "scheduler_micro": {
-            **micro,
-            "ratio": round(micro["calendar"]["events_per_sec"]
-                           / micro["heap"]["events_per_sec"], 3)},
-        "burst_micro": {
-            **burst,
-            "ratio": round(burst["calendar"]["events_per_sec"]
-                           / burst["heap"]["events_per_sec"], 3)},
     }
 
 
@@ -199,18 +151,6 @@ def render(results: dict) -> str:
          tick["legacy"]["events_per_sec"], tick["legacy"]["wall_s"]],
         ["paper tick (new)", tick["new"]["reads_per_sec"],
          tick["new"]["events_per_sec"], tick["new"]["wall_s"]],
-        ["scheduler micro (heap)", "-",
-         results["scheduler_micro"]["heap"]["events_per_sec"],
-         results["scheduler_micro"]["heap"]["wall_s"]],
-        ["scheduler micro (calendar)", "-",
-         results["scheduler_micro"]["calendar"]["events_per_sec"],
-         results["scheduler_micro"]["calendar"]["wall_s"]],
-        ["burst micro (heap)", "-",
-         results["burst_micro"]["heap"]["events_per_sec"],
-         results["burst_micro"]["heap"]["wall_s"]],
-        ["burst micro (calendar)", "-",
-         results["burst_micro"]["calendar"]["events_per_sec"],
-         results["burst_micro"]["calendar"]["wall_s"]],
     ]
     title = (f"E-KERNEL — kernel throughput at N={results['n_sensors']} "
              f"(paper-tick speedup {tick['speedup']}x)")
@@ -237,12 +177,12 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="CI tier: small N, short runs "
                              "(same as REPRO_BENCH_SMOKE=1)")
-    global N_SENSORS, TICKS, MICRO_DURATION, BURST_SIZE, SMOKE
+    global N_SENSORS, TICKS, SMOKE
     args = parser.parse_args(argv)
     if args.smoke and not SMOKE:
         os.environ["REPRO_BENCH_SMOKE"] = "1"
         SMOKE = True
-        N_SENSORS, TICKS, MICRO_DURATION, BURST_SIZE = 512, 20, 60.0, 512
+        N_SENSORS, TICKS = 512, 20
     results = collect()
     write_output(results)
     print(render(results))

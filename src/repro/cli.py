@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="wall-clock flight recorder over a scenario run: top-N "
-             "attribution, scheduler internals, service times")
+             "attribution, kernel queue totals, service times")
     profile.add_argument("scenario", nargs="?", default="six-steps",
                          choices=["six-steps", "quiet", "soak"],
                          help="six-steps (default): the Fig 3 experiment; "
@@ -457,9 +457,9 @@ def cmd_status(args, out) -> int:
     from .observability import render_status, status_json
     lab, snapshot = _health_snapshot(args)
     if args.as_json:
-        # Deliberately no kernel line here: scheduler stats vary with the
-        # kernel choice and tie-break shuffling, and the canonical JSON is
-        # byte-identical across both (DESIGN §12).
+        # Deliberately no kernel line here: queue stats vary with
+        # tie-break shuffling, and the canonical JSON is byte-identical
+        # across shuffle seeds (DESIGN §12).
         out.write(status_json(snapshot, seed=args.seed))
     else:
         out.write(render_status(
@@ -467,10 +467,7 @@ def cmd_status(args, out) -> int:
         sched = lab.env.scheduler_stats()
         out.write(f"\nkernel: {sched['kind']} scheduler, "
                   f"{sched['pending']} pending, pushes={sched['pushes']} "
-                  f"pops={sched['pops']} cancels={sched['cancels']}"
-                  + (f" resizes={sched['resizes']} heals={sched['heals']} "
-                     f"occupancy-hw={sched['occupancy_hw']}"
-                     if "resizes" in sched else "") + "\n")
+                  f"pops={sched['pops']}\n")
     return 0
 
 
@@ -874,7 +871,7 @@ def cmd_restore(args, out) -> int:
             store.begin_run(
                 run_id, program.get("scenario", "paper-lab"),
                 program.get("seed", program.get("plan", {}).get("seed", 0)),
-                program.get("scheduler") or "heap", replace=True,
+                "heap", replace=True,
                 restored_from=body["digest"])
             store.finish_run(run_id, checkpoint["at"],
                              kernel["seqs_issued"],

@@ -387,15 +387,13 @@ class HealthModel:
                 "providers": providers}
 
 
-#: Scheduler stats republished as registry instruments each beat.
-#: Monotone operation totals become counters (windowed delta/rate in the
-#: rollups and the spilled history); level signals become gauges. They are
-#: kernel- and tie-break-variant, so they feed dashboards, ``repro trace
-#: --metrics`` and the history spill — never ``status --json`` or chaos
-#: verdicts (DESIGN §12).
-_KERNEL_COUNTERS = ("pushes", "pops", "cancels", "resizes", "grows",
-                    "shrinks", "heals", "sparse_laps")
-_KERNEL_GAUGES = ("pending", "occupancy_hw", "nbuckets")
+#: Kernel queue stats republished as registry instruments each beat: the
+#: monotone push/pop totals as counters (windowed delta/rate in the rollups
+#: and the spilled history), the pending count as a gauge. They are
+#: tie-break-variant, so they feed dashboards, ``repro trace --metrics``
+#: and the history spill — never ``status --json`` or chaos verdicts
+#: (DESIGN §12).
+_KERNEL_COUNTERS = ("pushes", "pops")
 
 
 class HealthMonitor:
@@ -410,9 +408,11 @@ class HealthMonitor:
                                      retention=retention)
         self.model = HealthModel(network, self.store)
         self.engine = SloEngine(self.store)
-        #: name -> (instrument, is_counter); resolved lazily because the
-        #: heap scheduler exposes fewer stats than the calendar queue.
-        self._kernel_instruments: dict[str, tuple] = {}
+        registry = self.store.registry
+        self._kernel_counters = [
+            (name, registry.counter(f"kernel.scheduler.{name}"))
+            for name in _KERNEL_COUNTERS]
+        self._kernel_pending = registry.gauge("kernel.scheduler.pending")
         #: Rollups run unless disabled (overhead ablations flip this off).
         self.enabled = True
         from ..resilience.events import resilience_events
@@ -447,27 +447,14 @@ class HealthMonitor:
         self.engine.evaluate(now)
 
     def _publish_kernel_stats(self) -> None:
-        """Mirror the scheduler's internals into ``kernel.scheduler.*``
+        """Mirror the kernel queue's stats into ``kernel.scheduler.*``
         instruments so they roll into windows and the spilled history."""
         stats = self.env.scheduler_stats()
-        instruments = self._kernel_instruments
-        if not instruments:
-            registry = self.store.registry
-            for name in _KERNEL_COUNTERS:
-                if name in stats:
-                    instruments[name] = (
-                        registry.counter(f"kernel.scheduler.{name}"), True)
-            for name in _KERNEL_GAUGES:
-                if name in stats:
-                    instruments[name] = (
-                        registry.gauge(f"kernel.scheduler.{name}"), False)
-        for name, (instrument, is_counter) in instruments.items():
+        for name, counter in self._kernel_counters:
             value = stats[name]
-            if is_counter:
-                if value > instrument.value:
-                    instrument.inc(value - instrument.value)
-            else:
-                instrument.set(value)
+            if value > counter.value:
+                counter.inc(value - counter.value)
+        self._kernel_pending.set(stats["pending"])
 
     def snapshot(self) -> dict:
         """The full operator view (plain data, JSON-serializable)."""

@@ -48,6 +48,11 @@ def _probe(env, world, index, seed):
         read_latency=0.01)
 
 
+def _probe_locations(sensors: list) -> list:
+    """Where each sensor's probe really sits (the ground-truth points)."""
+    return [sensor.probe.location for sensor in sensors]
+
+
 @dataclass
 class SensorGrid:
     env: Environment
@@ -119,7 +124,6 @@ def build_sensorcer_grid(n_sensors: int, seed: int = 11,
         return host
 
     Jobber(make_host("jobber-host")).start()
-    locations = grid_locations(n_sensors)
     sensors = []
     for index in range(n_sensors):
         name = f"Sensor-{index:03d}"
@@ -164,18 +168,17 @@ def build_sensorcer_grid(n_sensors: int, seed: int = 11,
         for service_id, name in layer:
             root.add_child(service_id, name)
     return SensorGrid(env=env, net=net, world=world, lus=lus,
-                      sensors=sensors, locations=locations, root=root,
-                      composites=composites)
+                      sensors=sensors, locations=_probe_locations(sensors),
+                      root=root, composites=composites)
 
 
 def build_direct_grid(n_sensors: int, seed: int = 11,
                       fixed_latency: Optional[float] = None) -> SensorGrid:
     """N bare direct-IP sensor nodes (no registry, no services)."""
     env, rng, net, world = _base(seed, fixed_latency)
-    locations = grid_locations(n_sensors)
     sensors = []
     for index in range(n_sensors):
         host = Host(net, f"node-{index}")
         sensors.append(DirectSensorNode(host, _probe(env, world, index, seed)))
     return SensorGrid(env=env, net=net, world=world, lus=None,
-                      sensors=sensors, locations=locations)
+                      sensors=sensors, locations=_probe_locations(sensors))

@@ -7,10 +7,12 @@ space and time:
     value(q, x, t) = base + gradient . x + amplitude * sin(2 pi (t+phase)/period)
                      + sigma * smooth_noise(q, x, t) + sum(active events)
 
-``smooth_noise`` is deterministic: a hash of (seed, quantity, location,
-floor(t/tau)) seeds a unit normal per knot, linearly interpolated between
-knots — so any (location, time) resample reproduces the same value, which
-lets tests compare sensor aggregates against exact ground truth.
+``smooth_noise`` is deterministic: a stable hash
+(:func:`~repro.util.rng.stream_hash`, independent of ``PYTHONHASHSEED``)
+of (seed, quantity, location, floor(t/tau)) seeds a unit normal per knot,
+linearly interpolated between knots — so any (location, time) resample
+reproduces the same value, in any process, which lets tests compare
+sensor aggregates against exact ground truth.
 
 Events (a heater switching on, a cold front) add localized step changes.
 
@@ -36,6 +38,8 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - the CI image always has numpy
     np = None
+
+from ..util.rng import stream_hash
 
 __all__ = ["FieldSpec", "FieldEvent", "PhysicalEnvironment"]
 
@@ -220,13 +224,12 @@ class PhysicalEnvironment:
             generation = per_quantity[index] = {}
         cached = generation.get(location)
         if cached is None:
-            key = hash((self.seed, quantity,
-                        round(location[0], 6), round(location[1], 6), index))
+            key = stream_hash(self.seed, quantity, round(location[0], 6),
+                              round(location[1], 6), index)
             if np is not None:
-                cached = float(
-                    np.random.default_rng(key & 0xFFFFFFFF).standard_normal())
+                cached = float(np.random.default_rng(key).standard_normal())
             else:  # pragma: no cover - the CI image always has numpy
-                cached = _box_muller(key & 0xFFFFFFFF)
+                cached = _box_muller(key)
             generation[location] = cached
         return cached
 

@@ -8,13 +8,10 @@ exertion runtime and the sensor devices — runs as processes inside one
 Design notes
 ------------
 * Time is a float in simulated seconds. There is no wall clock anywhere.
-* Events are scheduled on a pluggable scheduler (see
-  :mod:`repro.sim.calendar`) keyed by ``(time, priority, tie, seq)`` where
-  ``seq`` is a monotonically increasing counter, which makes the execution
-  order fully deterministic. The default is a bucketed calendar queue with
-  amortized O(1) push/pop; ``scheduler="heap"`` (or the
-  ``REPRO_KERNEL_SCHEDULER`` environment variable) selects the reference
-  binary heap, which produces a byte-identical event order.
+* Pending events live in one binary heap of ``(time, priority, tie, seq,
+  event)`` tuples owned by :class:`Environment`. ``seq`` is a
+  monotonically increasing counter, unique per occurrence, which makes the
+  execution order a strict total order and fully deterministic.
 * A :class:`Process` wraps a generator. The generator yields :class:`Event`
   objects; when a yielded event triggers, the process resumes with the
   event's value (or the event's exception is thrown into the generator).
@@ -27,11 +24,10 @@ from __future__ import annotations
 
 import os
 import random as _random
-from itertools import count
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from . import sanitizer as _san
-from .calendar import make_scheduler
 from .sanitizer import RaceSanitizer, SanitizerViolation  # noqa: F401 - re-export
 
 __all__ = [
@@ -53,14 +49,6 @@ __all__ = [
 #: ``tie_break_seed`` is passed — lets a test run (or CI job) shuffle every
 #: scenario it builds without threading a parameter through the builders.
 SHUFFLE_SEED_ENV = "REPRO_SHUFFLE_SEED"
-
-#: Environment variable selecting the kernel scheduler ("calendar" or
-#: "heap") when no explicit ``scheduler=`` is passed. Used by the
-#: equivalence suite to run whole scenarios on the reference heap.
-KERNEL_SCHEDULER_ENV = "REPRO_KERNEL_SCHEDULER"
-
-#: Default kernel scheduler.
-DEFAULT_SCHEDULER = "calendar"
 
 #: Priority for "urgent" events (used internally for interrupts).
 URGENT = 0
@@ -384,23 +372,16 @@ class Environment:
     preserved. Tests use it to prove results do not depend on the
     tie-breaker. When ``None``, the ``REPRO_SHUFFLE_SEED`` environment
     variable is consulted so whole suites can be shuffled externally.
-
-    ``scheduler`` selects the pending-event structure: ``"calendar"`` (the
-    default, amortized O(1)) or ``"heap"`` (the reference binary heap).
-    Both honour the same ``(time, priority, tie, seq)`` total order, so
-    every run is byte-identical across the two. When ``None``, the
-    ``REPRO_KERNEL_SCHEDULER`` environment variable is consulted.
     """
 
     def __init__(self, initial_time: float = 0.0,
                  sanitize: bool | str = False,
-                 tie_break_seed: Optional[int] = None,
-                 scheduler: Optional[str] = None):
+                 tie_break_seed: Optional[int] = None):
         self._now = float(initial_time)
-        if scheduler is None:
-            scheduler = os.environ.get(KERNEL_SCHEDULER_ENV) or DEFAULT_SCHEDULER
-        self._scheduler = make_scheduler(scheduler)
-        self._seq = count()
+        #: The pending-event heap of ``(time, priority, tie, seq, event)``.
+        self._queue: list[tuple] = []
+        #: Next scheduling sequence number; also the lifetime push count.
+        self._seq = 0
         self._active_process: Optional[Process] = None
         if tie_break_seed is None:
             from_env = os.environ.get(SHUFFLE_SEED_ENV)
@@ -458,34 +439,38 @@ class Environment:
     # -- scheduling / execution ----------------------------------------------
 
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        seq = next(self._seq)
+        seq = self._seq
+        self._seq = seq + 1
         tie = 0.0 if self._tie_rng is None else self._tie_rng.random()
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(seq, event)
-        self._scheduler.push(self._now + delay, priority, tie, seq, event)
+        heappush(self._queue, (self._now + delay, priority, tie, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._scheduler.peek_time()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def scheduler_stats(self) -> dict:
-        """The pending-event structure's internals snapshot (operation
-        totals, occupancy shape). Read-only and wall-clock-free; see
-        the scheduler ``stats()`` docstrings for the determinism caveat."""
-        return self._scheduler.stats()
+        """Operation totals of the pending-event heap. Every push gets one
+        ``seq`` and nothing leaves the heap except by a pop, so
+        ``pops = pushes - pending``. Read-only and wall-clock-free, but
+        tie-break-variant: never part of a canonical output."""
+        pending = len(self._queue)
+        return {"kind": "heap", "pending": pending, "pushes": self._seq,
+                "pops": self._seq - pending}
 
     def pending(self) -> list:
-        """Every live pending occurrence as ``(time, priority, tie, seq,
-        event)`` tuples in pop order, without disturbing the queue. The
-        snapshot capture enumerates the event set through this (both
-        scheduler kinds implement the same non-mutating ``entries()``)."""
-        return self._scheduler.entries()
+        """Every pending occurrence as ``(time, priority, tie, seq, event)``
+        tuples in pop order, without disturbing the queue. The snapshot
+        capture enumerates the event set through this. ``seq`` is unique,
+        so sorting never compares two events."""
+        return sorted(self._queue)
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        if not self._scheduler.size:
+        if not self._queue:
             raise SimulationError("nothing scheduled")
-        when, prio, _tie, seq, event = self._scheduler.pop()
+        when, prio, _tie, seq, event = heappop(self._queue)
         self._now = when
         profiler = self._profiler
         if self.sanitizer is None:
@@ -573,8 +558,8 @@ class Environment:
                     f"until={deadline} is in the past (now={self._now})")
 
         try:
-            scheduler = self._scheduler
-            while scheduler.size and scheduler.peek_time() <= deadline:
+            queue = self._queue
+            while queue and queue[0][0] <= deadline:
                 self.step()
         except StopSimulation:
             ev = stop_value[0]

@@ -2,13 +2,13 @@
 
 :func:`capture_state` walks a live :class:`repro.sim.Environment` and
 produces one JSON-able document describing everything the federation
-holds at this instant: the kernel section (sim clock, scheduler kind and
-operation counters, tie-break RNG position, every pending event in pop
-order) plus one section per registered snapshot participant
+holds at this instant: the kernel section (sim clock, issued sequence
+numbers, tie-break RNG position, every pending event in pop order) plus
+one section per registered snapshot participant
 (:mod:`repro.snapshot.registry`), in sorted key order.
 
-Capture is strictly **non-mutating**: it uses the schedulers'
-non-destructive ``entries()`` view, reads counters without moving them,
+Capture is strictly **non-mutating**: it uses the kernel's
+non-destructive ``pending()`` view, reads counters without moving them,
 and hashes RNG state instead of drawing from it. A run is byte-identical
 with capture enabled or disabled — that property is what makes the
 restore-and-continue equivalence contract testable at all.
@@ -73,10 +73,8 @@ def capture_state(env) -> dict:
     kernel = {
         "now": env.now,
         # Every `_schedule` issues exactly one seq and one push, so the
-        # push counter *is* the next-seq position without peeking the
-        # itertools.count.
+        # push counter *is* the next-seq position.
         "seqs_issued": stats["pushes"],
-        "scheduler": stats["kind"],
         "tie_break_seed": env.tie_break_seed,
         "tie_rng_crc32": (zlib.crc32(repr(tie_rng.getstate()).encode("utf-8"))
                           if tie_rng is not None else None),

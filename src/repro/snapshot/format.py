@@ -2,7 +2,7 @@
 
 A snapshot file is exactly two ``\\n``-terminated lines of JSON:
 
-* **header** — ``{"format": "repro-snapshot", "version": 1,
+* **header** — ``{"format": "repro-snapshot", "version": 2,
   "length": <body bytes>, "sha256": <body digest>}`` with canonical key
   order;
 * **body** — the canonical JSON state document produced by
@@ -17,6 +17,9 @@ flipped bit, a concatenated tail — fails one of the envelope checks
 
 Version bumps are deliberate: an unknown ``version`` raises
 :class:`SnapshotVersionError` rather than guessing at field semantics.
+Version 2 dropped the kernel scheduler kind from the program spec and the
+captured kernel section (the kernel has one event queue), so a version-1
+file is refused rather than replayed.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ __all__ = [
 ]
 
 FORMAT = "repro-snapshot"
-VERSION = 1
+VERSION = 2
 
 
 class SnapshotError(Exception):

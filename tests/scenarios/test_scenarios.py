@@ -10,6 +10,7 @@ from repro.scenarios import (
     build_paper_lab,
     build_sensorcer_grid,
     grid_locations,
+    probe_location,
 )
 
 
@@ -70,6 +71,16 @@ def test_sensorcer_grid_tree_value_matches_truth():
     # Mean of group means == global mean only for equal group sizes (true
     # here: 3 groups x 3 sensors).
     assert abs(result.get_return_value() - grid.ground_truth_mean()) < 1.0
+
+
+@pytest.mark.parametrize("build", [build_sensorcer_grid, build_direct_grid])
+def test_grid_locations_are_the_probe_positions(build):
+    """Ground truth is taken where the probes sit: for n=9, two of
+    ``grid_locations(9)`` differ from the probes' placements."""
+    grid = build(9, seed=3, fixed_latency=0.001)
+    assert grid.locations == [s.probe.location for s in grid.sensors]
+    assert grid.locations == [probe_location(i) for i in range(9)]
+    assert grid.locations != grid_locations(9)
 
 
 def test_direct_grid_builds_nodes():

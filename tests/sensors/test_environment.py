@@ -1,8 +1,14 @@
 """Physical environment model."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.sensors import FieldEvent, FieldSpec, PhysicalEnvironment
 
@@ -13,6 +19,28 @@ def test_sample_deterministic():
     for t in (0.0, 100.0, 12345.6):
         assert e1.sample("temperature", (3.0, 4.0), t) == \
             e2.sample("temperature", (3.0, 4.0), t)
+
+
+def test_sample_independent_of_python_hash_seed():
+    """Noise knots are seeded from a stable hash, so served values do not
+    change with ``PYTHONHASHSEED`` (builtin ``hash()`` of a str does)."""
+    script = ("from repro.sensors import PhysicalEnvironment\n"
+              "world = PhysicalEnvironment(seed=7)\n"
+              "print(repr(world.sample('temperature', (10, 20), 33.3)))\n"
+              "print(repr(world.sample_many('humidity', [(1, 2), (3.5, 4)],"
+              " 900.0)))\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    here = PhysicalEnvironment(seed=7)
+    assert outputs[0].splitlines()[0] == repr(
+        here.sample("temperature", (10, 20), 33.3))
 
 
 def test_different_seeds_differ():

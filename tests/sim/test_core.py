@@ -384,6 +384,8 @@ def test_run_until_event_never_fires():
 def test_peek():
     env = Environment()
     assert env.peek() == float("inf")
+    with pytest.raises(SimulationError, match="nothing scheduled"):
+        env.step()
     env.timeout(3)
     assert env.peek() == 3
 

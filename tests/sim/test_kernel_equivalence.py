@@ -1,75 +1,22 @@
-"""Kernel equivalence at the scenario level: swapping the scheduler must
-not change a single byte of any deterministic output.
+"""The kernel's ordering contract on its one event queue.
 
-``REPRO_KERNEL_SCHEDULER`` selects the pending-event structure behind
-:class:`~repro.sim.Environment`. These tests run the heaviest end-to-end
-surfaces — the paper-lab status snapshot and a chaos campaign verdict —
-under the reference heap and the calendar queue, alone and combined with
-the tie-break shuffle harness, and require identical output.
+Pending events pop in ``(time, priority, tie, seq)`` order. ``tie`` is 0.0
+unless the tie-break shuffle harness is on, in which case a seeded draw
+reorders same-``(time, priority)`` peers; priority classes and causal
+order survive the shuffle. These tests pin that contract, the race
+sanitizer's view of a same-instant conflict, and the read-only views
+(``pending()``, ``scheduler_stats()``) the snapshot capture and the
+management plane depend on.
 """
-
-import io
 
 import pytest
 
-from repro.chaos import CampaignRunner, verdict_json
-from repro.cli import main as cli_main
 from repro.sim import Environment
-from repro.sim.core import KERNEL_SCHEDULER_ENV, NORMAL, URGENT
+from repro.sim.core import LOW, NORMAL, SHUFFLE_SEED_ENV, URGENT
 
 
-def _status_json():
-    out = io.StringIO()
-    assert cli_main(["status", "--json"], out=out) == 0
-    return out.getvalue()
-
-
-def test_env_var_selects_scheduler(monkeypatch):
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "heap")
-    assert Environment()._scheduler.kind == "heap"
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "calendar")
-    assert Environment()._scheduler.kind == "calendar"
-    assert Environment(scheduler="heap")._scheduler.kind == "heap"
-
-
-def test_unknown_scheduler_rejected(monkeypatch):
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "bogus")
-    with pytest.raises(ValueError, match="unknown kernel scheduler"):
-        Environment()
-
-
-def test_status_json_identical_across_kernels(monkeypatch):
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "heap")
-    heap_out = _status_json()
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "calendar")
-    calendar_out = _status_json()
-    assert heap_out == calendar_out
-
-
-def test_status_json_identical_across_kernels_under_shuffle(shuffle_seed,
-                                                           monkeypatch):
-    """The flagship invariant with both harnesses engaged: for every
-    tie-break shuffle seed, heap and calendar produce the same bytes."""
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "heap")
-    heap_out = _status_json()
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "calendar")
-    calendar_out = _status_json()
-    assert heap_out == calendar_out
-
-
-@pytest.mark.slow
-def test_chaos_verdict_identical_across_kernels(monkeypatch):
-    """Fault campaigns pound cancel/reschedule paths (watchdogs, retries,
-    lease expiries) — the verdict JSON must not notice the scheduler."""
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "heap")
-    heap_verdict = verdict_json(CampaignRunner("paper-lab").run_seed(3))
-    monkeypatch.setenv(KERNEL_SCHEDULER_ENV, "calendar")
-    calendar_verdict = verdict_json(CampaignRunner("paper-lab").run_seed(3))
-    assert heap_verdict == calendar_verdict
-
-
-def _tie_break_order(kind, seed):
-    env = Environment(scheduler=kind, tie_break_seed=seed)
+def _tie_break_order(seed):
+    env = Environment(tie_break_seed=seed)
     fired = []
 
     def waiter(index):
@@ -83,50 +30,70 @@ def _tie_break_order(kind, seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_tie_break_shuffle_identical_across_kernels(seed):
-    heap_order = _tie_break_order("heap", seed)
-    calendar_order = _tie_break_order("calendar", seed)
-    assert heap_order == calendar_order
-    # And the harness still shuffles: some seed must deviate from FIFO.
-    assert _tie_break_order("calendar", None) == list(range(12))
+def test_tie_break_shuffle_deviates_from_fifo(seed, monkeypatch):
+    monkeypatch.delenv(SHUFFLE_SEED_ENV, raising=False)
+    shuffled = _tie_break_order(seed)
+    assert shuffled != list(range(12))
+    assert sorted(shuffled) == list(range(12))
+    assert _tie_break_order(seed) == shuffled  # seeded, so reproducible
+    assert _tie_break_order(None) == list(range(12))
 
 
-def test_sanitizer_verdict_identical_across_kernels():
-    """The race sanitizer hooks live in Environment, not the scheduler —
-    a same-timestamp write/read race is reported identically."""
-    reports = {}
-    for kind in ("heap", "calendar"):
-        env = Environment(scheduler=kind, sanitize="record")
-        cell = {"value": 0}
+def test_sanitizer_reports_planted_race():
+    """A same-timestamp write/read pair on one cell is reported."""
+    env = Environment(sanitize="record")
+    cell = {"value": 0}
 
-        def writer():
-            yield env.timeout(1.0)
-            env.sanitizer.record("cell", "w", "the shared cell")
-            cell["value"] = 1
+    def writer():
+        yield env.timeout(1.0)
+        env.sanitizer.record("cell", "w", "the shared cell")
+        cell["value"] = 1
 
-        def reader():
-            yield env.timeout(1.0)
-            env.sanitizer.record("cell", "r", "the shared cell")
-            cell["value"]
+    def reader():
+        yield env.timeout(1.0)
+        env.sanitizer.record("cell", "r", "the shared cell")
+        cell["value"]
 
-        env.process(writer())
-        env.process(reader())
-        env.run()
-        reports[kind] = [(v.label, v.time, v.first[2], v.second[2])
-                         for v in env.sanitizer.violations]
-    assert reports["heap"] == reports["calendar"]
-    assert reports["calendar"], "expected the planted race to be reported"
+    env.process(writer())
+    env.process(reader())
+    env.run()
+    reports = [(v.label, v.time) for v in env.sanitizer.violations]
+    assert reports == [("the shared cell", 1.0)]
 
 
-def test_priority_classes_identical_across_kernels():
-    orders = {}
-    for kind in ("heap", "calendar"):
-        env = Environment(scheduler=kind)
+def test_priority_classes_order_within_an_instant():
+    for seed in (None, 5):
+        env = Environment(tie_break_seed=seed)
         fired = []
+        env.timeout(1.0, priority=LOW).callbacks.append(
+            lambda ev: fired.append("low"))
         env.timeout(1.0, priority=NORMAL).callbacks.append(
             lambda ev: fired.append("normal"))
         env.timeout(1.0, priority=URGENT).callbacks.append(
             lambda ev: fired.append("urgent"))
         env.run()
-        orders[kind] = fired
-    assert orders["heap"] == orders["calendar"] == ["urgent", "normal"]
+        assert fired == ["urgent", "normal", "low"]
+
+
+def test_pending_is_pop_order_and_non_mutating():
+    env = Environment()
+    fired = []
+    for index in range(40):
+        env.timeout(float(index % 7), value=index,
+                    priority=index % 3).callbacks.append(
+            lambda ev: fired.append(ev.value))
+    before = env.scheduler_stats()
+    listed = env.pending()
+    assert env.pending() == listed
+    assert env.scheduler_stats() == before
+    env.run()
+    assert fired == [entry[4].value for entry in listed]
+
+
+def test_scheduler_stats_balance():
+    env = Environment()
+    for index in range(10):
+        env.timeout(float(index))
+    env.run(until=4.5)
+    stats = env.scheduler_stats()
+    assert stats == {"kind": "heap", "pending": 5, "pushes": 10, "pops": 5}

@@ -1,14 +1,13 @@
-"""Scheduler soak: a million random occurrences against the invariants.
+"""Kernel queue soak: a million random occurrences against the invariants.
 
-Full tier pushes ~1M occurrences through the calendar queue with a heap
-shadow checking every pop; ``REPRO_BENCH_SMOKE=1`` (the CI smoke tier)
-drops to 50k. Invariants under load:
+Full tier pushes ~1M occurrences through the environment's event queue;
+``REPRO_BENCH_SMOKE=1`` (the CI smoke tier) drops to 50k. Invariants
+under load:
 
 * monotone time — pops never go backwards;
-* FIFO within ties — same ``(time, priority, tie)`` keys drain in
-  scheduling order;
-* conservation — nothing is lost, duplicated, or resurrected after a
-  cancel.
+* FIFO within ties — same ``(time, priority)`` keys drain in scheduling
+  order when the tie-break shuffle is off;
+* conservation — every scheduled occurrence fires exactly once.
 """
 
 import os
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.sim import Environment
-from repro.sim.calendar import CalendarQueue, HeapScheduler
+from repro.sim.core import SHUFFLE_SEED_ENV
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SOAK_EVENTS = 50_000 if SMOKE else 1_000_000
@@ -25,67 +24,38 @@ ENV_EVENTS = 20_000 if SMOKE else 200_000
 
 
 @pytest.mark.slow
-def test_soak_against_heap_shadow():
-    """Random push/pop/cancel storm; the heap reference checks each pop."""
+def test_queue_soak_invariants(monkeypatch):
+    """Random push/step storm driven from outside the event loop."""
+    monkeypatch.delenv(SHUFFLE_SEED_ENV, raising=False)
+    env = Environment()
     rng = np.random.default_rng(0xC0FFEE)
-    cal, heap = CalendarQueue(), HeapScheduler()
-    # O(1) bookkeeping: membership in `alive`, cancel victims drawn from
-    # `candidates` (may hold stale seqs already popped — checked against
-    # `alive` before use, compacted when mostly stale).
-    alive: set[int] = set()
-    candidates: list[int] = []
-    seq = 0
-    now = 0.0
-    pops = cancels = 0
-    # Weighted op mix: pushes slightly outnumber pops so the queue grows
-    # through resizes, then the drain at the end shrinks it back.
+    fired: list[tuple] = []
+    pushed = 0
+    # Pushes slightly outnumber steps so the queue grows through the run,
+    # then the final drain empties it.
     op_draw = rng.random(SOAK_EVENTS)
     time_draw = rng.random(SOAK_EVENTS)
     for i in range(SOAK_EVENTS):
-        op = op_draw[i]
-        if op < 0.52 or not alive:
-            # Push at or after *now* (the kernel's contract) on a coarse
-            # lattice so same-instant ties are common.
-            t = now + round(float(time_draw[i]) * 50.0, 1)
+        if op_draw[i] < 0.52 or env.peek() == float("inf"):
+            # A coarse lattice so same-instant ties are common.
             priority = i % 3
-            tie = (0.0, 0.25, 0.5)[i % 3]
-            cal.push(t, priority, tie, seq, seq)
-            heap.push(t, priority, tie, seq, seq)
-            alive.add(seq)
-            candidates.append(seq)
-            seq += 1
-        elif op < 0.92:
-            assert cal.peek_time() == heap.peek_time()
-            got = cal.pop()
-            assert got == heap.pop()
-            assert got[0] >= now, "time went backwards"
-            now = got[0]
-            assert got[3] in alive, "popped a cancelled or duplicate seq"
-            alive.discard(got[3])
-            pops += 1
+            ev = env.timeout(round(float(time_draw[i]) * 50.0, 1),
+                             value=pushed, priority=priority)
+            ev.callbacks.append(lambda ev, priority=priority: fired.append(
+                (env.now, priority, ev.value)))
+            pushed += 1
         else:
-            victim = candidates.pop(int(op_draw[i] * 7919) % len(candidates))
-            if victim not in alive:
-                continue  # already popped; skip this cancel op
-            alive.discard(victim)
-            cal.cancel(victim)
-            heap.cancel(victim)
-            cancels += 1
-        if len(candidates) > 2 * len(alive) + 64:
-            candidates = [s for s in candidates if s in alive]
-    assert cal.size == heap.size == len(alive)
-    drained = 0
-    while cal.size:
-        got = cal.pop()
-        assert got == heap.pop()
-        assert got[0] >= now
-        now = got[0]
-        assert got[3] in alive
-        alive.discard(got[3])
-        drained += 1
-    # Conservation: every scheduled occurrence either popped or cancelled.
-    assert pops + drained + cancels == seq
-    assert not alive
+            env.step()
+    env.run()
+    assert len(fired) == pushed, "lost or duplicated occurrences"
+    times = [t for t, _, _ in fired]
+    assert times == sorted(times), "time went backwards"
+    # A zero-delay push lands behind lower-priority peers already popped
+    # at this instant, so only FIFO within one (time, priority) key holds.
+    last: dict[tuple, int] = {}
+    for t, priority, index in fired:
+        assert last.get((t, priority), -1) < index, "FIFO within ties broken"
+        last[(t, priority)] = index
 
 
 @pytest.mark.slow
@@ -94,7 +64,7 @@ def test_environment_soak_invariants():
     a tie-heavy lattice; the clock never regresses, every timer fires
     exactly as often as its schedule allows, and same-instant direct
     timeouts fire in scheduling order."""
-    env = Environment(scheduler="calendar")
+    env = Environment()
     rng = np.random.default_rng(2009)
     n_procs = 200
     per_proc = max(ENV_EVENTS // n_procs, 1)

@@ -2,7 +2,7 @@
 
 The restore contract demands equivalence when the restoring process is a
 *different* process from the snapshotting one — and even one configured
-for the other kernel scheduler, because the snapshot's program spec wins
+with a tie-break shuffle seed, because the snapshot's program spec wins
 over process environment.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import repro
 from repro.cli import main
-from repro.sim.core import KERNEL_SCHEDULER_ENV
+from repro.sim.core import SHUFFLE_SEED_ENV
 from repro.snapshot.format import read_snapshot
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -88,12 +88,11 @@ def test_restore_spill_marks_run_as_restored(tmp_path):
 def test_restore_in_fresh_process_matches(tmp_path):
     path = _snapshot(tmp_path)
     _, straight = _run(["status", "--json"])
-    recorded_kernel = read_snapshot(path)["program"]["scheduler"]
-    other = "calendar" if recorded_kernel == "heap" else "heap"
+    assert read_snapshot(path)["program"]["tie_break_seed"] is None
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    # Hostile restore environment: the fresh process is configured for
-    # the *other* scheduler; the spec must override it.
-    env[KERNEL_SCHEDULER_ENV] = other
+    # Hostile restore environment: the fresh process shuffles same-instant
+    # events; the spec's recorded (absent) shuffle seed must override it.
+    env[SHUFFLE_SEED_ENV] = "7"
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "restore", str(path), "--json"],
         env=env, capture_output=True, text=True, timeout=300)

@@ -95,6 +95,24 @@ def test_unknown_version_is_typed(tmp_path):
         read_snapshot(path)
 
 
+def test_version_1_snapshot_is_refused_before_replay(tmp_path):
+    """Version 1 recorded a kernel scheduler kind that no longer exists;
+    restore refuses the file instead of replaying it and reporting a
+    state mismatch at the checkpoint."""
+    from repro.snapshot.restore import restore_run
+    assert VERSION == 2
+    body = json.loads(json.dumps(BODY))
+    body["program"]["scheduler"] = "calendar"
+    body["state"]["kernel"]["scheduler"] = "calendar"
+    path, _ = _write(tmp_path, body)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["version"] = 1
+    path.write_bytes(canonical_dumps(doc).encode("utf-8") + rest)
+    with pytest.raises(SnapshotVersionError, match="version 1"):
+        restore_run(path)
+
+
 def test_foreign_json_file_is_typed(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"hello": "world"}\n{}\n', encoding="utf-8")
